@@ -218,7 +218,7 @@ type benchMetrics struct {
 	// cache.
 	Serve *serveMetrics `json:"serve,omitempty"`
 	// Scoring is the scoring-engine probe: forward-pass kernel speedup,
-	// embedding-store and flip-memo reuse, and the end-to-end trajectory
+	// embedding-store and store-peek reuse, and the end-to-end trajectory
 	// against the PR 5 baseline.
 	Scoring *scoringMetrics `json:"scoring"`
 	// Pruning is the lattice-pruning probe: the same workload re-explained
@@ -358,8 +358,8 @@ type pruningMetrics struct {
 
 // scoringMetrics is the "scoring" section of BENCH_explain.json: what
 // the three scoring-engine layers (batched forward pass, persistent
-// embedding store, cross-explanation flip memo) contribute on the main
-// blocked-cluster run.
+// embedding store, cross-explanation score-store peeks) contribute on
+// the main blocked-cluster run.
 type scoringMetrics struct {
 	// ForwardBaselineNSPerRow / ForwardBatchNSPerRow time the trained
 	// network's pre-batching per-row path against the batched arena
@@ -374,8 +374,9 @@ type scoringMetrics struct {
 	EmbeddingLookups      int     `json:"embedding_lookups"`
 	EmbeddingStoreHitRate float64 `json:"embedding_store_hit_rate"`
 	// FlipMemoHitRate is FlipHits/FlipLookups on the main run's shared
-	// service: lattice oracle questions answered from another
-	// explanation's settled outcome without a score fetch.
+	// service: lattice and support-search flip questions answered by a
+	// store peek at a score another explanation published, without a
+	// fetch.
 	FlipLookups     int     `json:"flip_lookups"`
 	FlipHits        int     `json:"flip_hits"`
 	FlipMemoHitRate float64 `json:"flip_memo_hit_rate"`
@@ -415,13 +416,12 @@ type serveMetrics struct {
 	// the whole load.
 	SharedCacheHitRate float64 `json:"shared_cache_hit_rate"`
 	// FlipLookups / FlipHits / FlipMemoHitRate are the service's
-	// flip-outcome memo counters over the whole load. Within a single
-	// cold explanation the memo structurally hits on only a few percent
-	// of questions (each batch settles most of its questions locally
-	// under the view lock; see the scoring section's one-pass rate) —
-	// the memo's payoff is RE-explanation, which this load exercises by
-	// cycling the pairs: every warm pass answers its lattice questions
-	// from the memo without touching the model.
+	// store-peek counters over the whole load. Within a single cold
+	// explanation a peek hits only where another explanation already
+	// scored the same content (see the scoring section's one-pass
+	// rate) — the payoff is RE-explanation, which this load exercises
+	// by cycling the pairs: every warm pass answers its flip questions
+	// by peeking the store without touching the model.
 	FlipLookups     int     `json:"flip_lookups"`
 	FlipHits        int     `json:"flip_hits"`
 	FlipMemoHitRate float64 `json:"flip_memo_hit_rate"`
@@ -778,13 +778,13 @@ func writeBenchJSON(path string, seed int64, parallelism int, deadline time.Dura
 			m.Index.RetrievalSpeedup, m.ExplanationsPerSec, m.Index.ScanExplanationsPerSec, m.Index.SpeedupVsScan)
 	}
 	if m.Serve != nil {
-		fmt.Fprintf(os.Stderr, "certa-bench: serve probe: %.1f req/s over %d requests (conc %d), p50 %.1fms, p99 %.1fms, %d coalesced, cache hit rate %.1f%%, flip memo hit rate %.1f%%\n",
+		fmt.Fprintf(os.Stderr, "certa-bench: serve probe: %.1f req/s over %d requests (conc %d), p50 %.1fms, p99 %.1fms, %d coalesced, cache hit rate %.1f%%, peek hit rate %.1f%%\n",
 			m.Serve.ServeThroughput, m.Serve.Requests, m.Serve.Concurrency,
 			m.Serve.P50MS, m.Serve.P99MS, m.Serve.Coalesced, 100*m.Serve.SharedCacheHitRate,
 			100*m.Serve.FlipMemoHitRate)
 	}
 	if m.Scoring != nil {
-		fmt.Fprintf(os.Stderr, "certa-bench: scoring probe: forward pass %.1fx (%.0f -> %.0f ns/row), embedding store hit rate %.1f%%, flip memo %d/%d hits, %.2fx vs PR 5 baseline %.2f expl/s\n",
+		fmt.Fprintf(os.Stderr, "certa-bench: scoring probe: forward pass %.1fx (%.0f -> %.0f ns/row), embedding store hit rate %.1f%%, store peeks %d/%d hits, %.2fx vs the recorded baseline %.2f expl/s\n",
 			m.Scoring.ForwardPassSpeedup, m.Scoring.ForwardBaselineNSPerRow, m.Scoring.ForwardBatchNSPerRow,
 			100*m.Scoring.EmbeddingStoreHitRate, m.Scoring.FlipHits, m.Scoring.FlipLookups,
 			m.Scoring.SpeedupVsPR5, m.Scoring.PR5BaselineExplPerSec)

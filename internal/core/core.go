@@ -574,9 +574,9 @@ func (e *Explainer) exploreSide(ctx context.Context, bud *runBudget, prog *progr
 	// The oracle needs classes, not scores, and most questions repeat
 	// perturbations some lattice already asked: the keyers assemble each
 	// question's canonical cache key without cloning a record, so the
-	// score cache and the shared flip memo answer known subsets with zero
-	// materialization — pairs are built only for true misses, with
-	// identical answers and identical per-explanation accounting.
+	// view and a peek at the shared score store answer known subsets
+	// with zero materialization — pairs are built only for true misses,
+	// with identical answers and identical per-explanation accounting.
 	keyers := make([]*scorecache.PerturbKeyer, len(supports))
 	for i, w := range supports {
 		keyers[i] = scorecache.NewPerturbKeyer(p, side, w)

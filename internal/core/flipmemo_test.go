@@ -9,9 +9,9 @@ import (
 	"certa/internal/scorecache"
 )
 
-// flipWorkload builds the batch the cross-explanation flip memo exists
-// for: pivot-sharing pairs (one left record against several rights,
-// whose candidate scans share the score store) plus re-requested pairs —
+// flipWorkload builds the batch the store peek exists for:
+// pivot-sharing pairs (one left record against several rights, whose
+// candidate scans share the score store) plus re-requested pairs —
 // explanations of content already explained, as a long-lived shared
 // service sees them, whose lattice perturbations repeat key-for-key.
 func flipWorkload(t *testing.T, n, repeats int) (*dataset.Benchmark, []record.Pair) {
@@ -26,61 +26,57 @@ func flipWorkload(t *testing.T, n, repeats int) (*dataset.Benchmark, []record.Pa
 	return b, out
 }
 
-// TestFlipMemoCrossExplanationReduction is the flip memo's end-to-end
-// gate: a batch with repeated pair contents must issue strictly fewer
-// score-store requests with the memo on (lattice subsets an earlier
-// explanation settled are answered from the memo without a score
-// fetch), never more model calls, and produce byte-identical Results
-// with the memo on or off, at Parallelism 1 or 8, and against a
-// sequential private-cache run.
+// TestFlipMemoCrossExplanationReduction is the store peek's end-to-end
+// gate: on a batch with repeated pair contents, flip questions that an
+// earlier explanation already scored are answered by a peek instead of a
+// store lookup — every view miss reaches the store exactly once, as a
+// peek hit or as a fetch, so lookups fall by exactly the peek hits — no
+// content is scored twice, and Results are byte-identical at
+// Parallelism 1 or 8 and to a sequential private-cache run.
 func TestFlipMemoCrossExplanationReduction(t *testing.T) {
 	b, expl := flipWorkload(t, 6, 3)
 
-	run := func(par int, disable bool) ([]*Result, scorecache.ServiceStats) {
-		svc := scorecache.NewService(textModel{}, scorecache.ServiceOptions{
-			Parallelism:     par,
-			DisableFlipMemo: disable,
-		})
+	run := func(par int) ([]*Result, *scorecache.Service) {
+		svc := scorecache.NewService(textModel{}, scorecache.ServiceOptions{Parallelism: par})
 		e := New(b.Left, b.Right, Options{Triangles: 10, Seed: 5, Parallelism: par, Shared: svc})
 		res, err := e.ExplainBatch(textModel{}, expl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, svc.Stats()
+		return res, svc
 	}
 
-	memoOn, statsOn := run(1, false)
-	memoOff, statsOff := run(1, true)
+	res1, svc := run(1)
+	st := svc.Stats()
+	if st.FlipHits == 0 {
+		t.Fatalf("pivot-sharing explanations produced no peek hits: %+v", st)
+	}
+	viewMisses := 0
+	for _, r := range res1 {
+		viewMisses += r.Diag.ModelCalls
+	}
+	if st.Lookups+st.FlipHits != viewMisses {
+		t.Errorf("store lookups %d + peek hits %d != %d view misses", st.Lookups, st.FlipHits, viewMisses)
+	}
+	if st.Misses != svc.Len() {
+		t.Errorf("%d model calls for %d distinct contents: some content was scored twice", st.Misses, svc.Len())
+	}
 
-	if statsOn.FlipHits == 0 {
-		t.Fatalf("pivot-sharing explanations produced no flip-memo hits: %+v", statsOn)
-	}
-	if statsOn.Lookups >= statsOff.Lookups {
-		t.Errorf("memo did not reduce score-store requests: %d lookups with memo, %d without",
-			statsOn.Lookups, statsOff.Lookups)
-	}
-	if statsOn.Misses > statsOff.Misses {
-		t.Errorf("memo increased model calls: %d > %d", statsOn.Misses, statsOff.Misses)
-	}
-	if !reflect.DeepEqual(memoOn, memoOff) {
-		t.Fatal("results differ between flip memo on and off")
-	}
-
-	par8, _ := run(8, false)
-	if !reflect.DeepEqual(memoOn, par8) {
-		t.Fatal("memo-on results differ between Parallelism 1 and 8")
+	par8, _ := run(8)
+	if !reflect.DeepEqual(res1, par8) {
+		t.Fatal("results differ between Parallelism 1 and 8")
 	}
 
 	// Gold standard: a sequential run with a private cache per
-	// explanation (no sharing, no memo reuse possible).
+	// explanation (no sharing, no cross-explanation reuse possible).
 	seq := New(b.Left, b.Right, Options{Triangles: 10, Seed: 5})
 	for i, p := range expl {
 		want, err := seq.Explain(textModel{}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(memoOn[i], want) {
-			t.Fatalf("pair %d (%s): memoized result differs from private sequential run", i, p.Key())
+		if !reflect.DeepEqual(res1[i], want) {
+			t.Fatalf("pair %d (%s): shared-store result differs from private sequential run", i, p.Key())
 		}
 	}
 }

@@ -94,23 +94,31 @@ const augmentPatience = 20
 const prunePatience = 6
 
 // supportScan selects the first `want` eligible candidates of a
-// deterministic stream, scoring the stream in geometrically growing
-// chunks through the cached batch scorer. The selection is identical to
-// a one-candidate-at-a-time scan (eligibility is per-candidate and the
-// accepted set is a prefix property); only the scoring is batched, which
-// may look at most one chunk past the last accepted candidate.
+// deterministic stream, asking the stream's flip questions in
+// geometrically growing chunks through the cached scorer. The selection
+// is identical to a one-candidate-at-a-time scan (eligibility is
+// per-candidate and the accepted set is a prefix property); only the
+// scoring is batched, which may look at most one chunk past the last
+// accepted candidate.
+//
+// Candidates are descriptors, not records: their keys are assembled by a
+// per-scan CandidateKeyer, so a candidate the store already answers is
+// never cloned. A candidate record (and an augmented one's #augN ID) is
+// built only when its pair must reach the model or when it is accepted.
 type supportScan struct {
-	ctx  context.Context
-	bud  *runBudget
-	sc   *scorecache.Scorer
-	p    record.Pair
-	side record.Side
-	y    bool
-	want int
+	ctx   context.Context
+	bud   *runBudget
+	sc    *scorecache.Scorer
+	p     record.Pair
+	side  record.Side
+	y     bool
+	want  int
+	keyer *scorecache.CandidateKeyer
 
 	chunk   int
-	pending []*record.Record
-	recOrds []int // per pending candidate: ordinal of its source record
+	pending []candidate
+	keys    []string // per pending candidate: its canonical pair key
+	recOrds []int    // per pending candidate: ordinal of its source record
 	out     []*record.Record
 	scored  int  // candidates actually scored (chunk overscan included)
 	seed    int  // candidates the sequential seed scan would have scored
@@ -130,9 +138,31 @@ type supportScan struct {
 	patience int
 	streak   int
 
-	curRec      int  // ordinal of the record currently generating candidates
-	lastRec     int  // ordinal of the last record seen during scoring
-	recEligible bool // the record being scored has yielded an eligible candidate
+	cur         *record.Record // record currently generating candidates
+	curRec      int            // its ordinal
+	lastRec     int            // ordinal of the last record seen during scoring
+	recEligible bool           // the record being scored has yielded an eligible candidate
+}
+
+// candidate describes one support candidate: source record w itself
+// (attr < 0), or w with value index attr replaced by value — the aug-th
+// variant of the augmented stream.
+type candidate struct {
+	w     *record.Record
+	attr  int
+	value string
+	aug   int
+}
+
+// build materializes the candidate.
+func (c candidate) build() *record.Record {
+	if c.attr < 0 {
+		return c.w
+	}
+	r := c.w.Clone()
+	r.Values[c.attr] = c.value
+	r.ID = c.w.ID + "#aug" + strconv.Itoa(c.aug)
+	return r
 }
 
 func newSupportScan(ctx context.Context, bud *runBudget, sc *scorecache.Scorer, p record.Pair, side record.Side, y bool, want int) *supportScan {
@@ -143,19 +173,36 @@ func newSupportScan(ctx context.Context, bud *runBudget, sc *scorecache.Scorer, 
 	if chunk > maxSearchChunk {
 		chunk = maxSearchChunk
 	}
-	return &supportScan{ctx: ctx, bud: bud, sc: sc, p: p, side: side, y: y, want: want, chunk: chunk}
+	return &supportScan{ctx: ctx, bud: bud, sc: sc, p: p, side: side, y: y, want: want, chunk: chunk,
+		keyer: scorecache.NewCandidateKeyer(p, side)}
 }
 
-// beginRecord marks the start of a new source record's candidates; the
+// beginRecord marks the start of source record w's candidates; the
 // patience streak advances per record, not per candidate variant.
-func (s *supportScan) beginRecord() { s.curRec++ }
+func (s *supportScan) beginRecord(w *record.Record) {
+	s.curRec++
+	s.cur = w
+	s.keyer.Reset(w)
+}
+
+// addRecord buffers the current record itself as a candidate.
+func (s *supportScan) addRecord() {
+	s.add(candidate{w: s.cur, attr: -1}, s.keyer.Key())
+}
+
+// addVariant buffers the current record with value index attr replaced
+// by value, the aug-th candidate of the augmented stream.
+func (s *supportScan) addVariant(attr int, value string, aug int) {
+	s.add(candidate{w: s.cur, attr: attr, value: value, aug: aug}, s.keyer.KeyWith(attr, value))
+}
 
 // add buffers one candidate, flushing a full chunk through the scorer.
-func (s *supportScan) add(cand *record.Record) {
+func (s *supportScan) add(c candidate, key string) {
 	if s.done {
 		return
 	}
-	s.pending = append(s.pending, cand)
+	s.pending = append(s.pending, c)
+	s.keys = append(s.keys, key)
 	s.recOrds = append(s.recOrds, s.curRec)
 	if len(s.pending) >= s.chunk {
 		s.flush()
@@ -166,27 +213,35 @@ func (s *supportScan) flush() {
 	if s.done || len(s.pending) == 0 {
 		return
 	}
+	defer func() {
+		s.pending = s.pending[:0]
+		s.keys = s.keys[:0]
+		s.recOrds = s.recOrds[:0]
+	}()
 	// Anytime checkpoint: a tripped budget abandons the stream before the
 	// chunk is scored, keeping whatever the scan already accepted.
 	if s.bud.exhausted() {
 		s.seed = s.scored
 		s.truncated = true
 		s.done = true
-		s.pending = s.pending[:0]
-		s.recOrds = s.recOrds[:0]
 		return
 	}
-	pairs := make([]record.Pair, len(s.pending))
-	for i, w := range s.pending {
-		pairs[i] = s.p.WithRecord(s.side, w)
+	built := make([]*record.Record, len(s.pending))
+	materialize := func(i int) *record.Record {
+		if built[i] == nil {
+			built[i] = s.pending[i].build()
+		}
+		return built[i]
 	}
-	scores, err := s.sc.ScoreBatchContext(s.ctx, pairs)
+	flips, err := s.sc.ScoreFlipsKeyedContext(s.ctx, s.keys, s.y, func(i int) record.Pair {
+		return s.p.WithRecord(s.side, materialize(i))
+	})
 	if err != nil {
 		s.err = err
 		s.done = true
 		return
 	}
-	for i, score := range scores {
+	for i, flip := range flips {
 		// A record boundary settles the previous record's patience
 		// verdict: eligible somewhere → streak resets; barren → one more
 		// unit spent. A sequential scan abandons right after the barren
@@ -205,9 +260,9 @@ func (s *supportScan) flush() {
 			s.lastRec = ord
 			s.recEligible = false
 		}
-		if (score > 0.5) != s.y {
+		if flip {
 			s.recEligible = true
-			s.out = append(s.out, s.pending[i])
+			s.out = append(s.out, materialize(i))
 			if len(s.out) >= s.want {
 				s.seed = s.scored + i + 1
 				s.done = true
@@ -216,8 +271,6 @@ func (s *supportScan) flush() {
 		}
 	}
 	s.scored += len(s.pending)
-	s.pending = s.pending[:0]
-	s.recOrds = s.recOrds[:0]
 	if !s.done && s.chunk < maxSearchChunk {
 		s.chunk *= 2
 		if s.chunk > maxSearchChunk {
@@ -271,8 +324,8 @@ func (e *Explainer) naturalSupports(ctx context.Context, bud *runBudget, prog *p
 		if w.ID == self.ID {
 			continue
 		}
-		scan.beginRecord()
-		scan.add(w)
+		scan.beginRecord(w)
+		scan.addRecord()
 	}
 	out := scan.finish()
 	if scan.err != nil {
@@ -292,6 +345,9 @@ func (e *Explainer) naturalSupports(ctx context.Context, bud *runBudget, prog *p
 // triangle's fixed record (like naturalSupports) so augmented supports
 // stay decorrelated across pivots while explanations sharing the fixed
 // record generate cache-aligned variant streams.
+//
+// Each value is normalized and tokenized once; its variants are
+// substrings of that one normalized form (strutil.DropVariants).
 func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog *progress, sc *scorecache.Scorer, p record.Pair, y bool, side record.Side, want int, calls, seedCalls *int) ([]*record.Record, error) {
 	if want <= 0 {
 		return nil, nil
@@ -330,8 +386,8 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 			scan.patience = prunePatience
 		}
 	}
+	var drops strutil.DropVariants
 	generated := 0
-	augID := 0
 	for !scan.done && generated < budget {
 		w, ok := stream.Next()
 		if !ok {
@@ -340,29 +396,21 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 		if w.ID == self.ID {
 			continue
 		}
-		scan.beginRecord()
+		scan.beginRecord(w)
 		for _, a := range w.Schema.Attrs {
 			if scan.done || generated >= budget {
 				break
 			}
-			toks := strutil.Tokenize(w.Value(a))
-			n := len(toks)
-			if n < 2 {
-				continue
-			}
+			ai := w.Schema.AttrIndex(a)
+			drops.Reset(w.Values[ai])
+			n := drops.Tokens()
 			for k := 1; k < n && !scan.done && generated < budget; k++ {
-				for _, variant := range []string{
-					strutil.DropFirstTokens(w.Value(a), k),
-					strutil.DropLastTokens(w.Value(a), k),
-				} {
+				for _, variant := range [2]string{drops.DropFirst(k), drops.DropLast(k)} {
 					if scan.done || generated >= budget {
 						break
 					}
-					cand := w.WithValue(a, variant)
-					cand.ID = w.ID + "#aug" + strconv.Itoa(augID)
-					augID++
+					scan.addVariant(ai, variant, generated)
 					generated++
-					scan.add(cand)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"certa/internal/record"
 )
@@ -30,10 +31,10 @@ func wantFlips(s *Service, pairs []record.Pair, y bool) []bool {
 	return out
 }
 
-// TestFlipMemoAnswersAcrossViews is the memo's core contract: once one
-// view settles a pair content's class, a second view's flip query is
-// answered from the memo — no score-store lookup, no model call — while
-// the second view's own Stats still read exactly like a private cache's.
+// TestFlipMemoAnswersAcrossViews is the peek's core contract: once one
+// view has scored a pair content, a second view's flip query is answered
+// by a store peek — no store lookup, no model call — while the second
+// view's own Stats still read exactly like a private cache's.
 func TestFlipMemoAnswersAcrossViews(t *testing.T) {
 	m := &countingModel{}
 	svc := NewService(m, ServiceOptions{})
@@ -69,14 +70,14 @@ func TestFlipMemoAnswersAcrossViews(t *testing.T) {
 		}
 	}
 	if m.calls != callsAfterA {
-		t.Fatalf("memo-answered view reached the model: %d calls, want %d", m.calls, callsAfterA)
+		t.Fatalf("peek-answered view reached the model: %d calls, want %d", m.calls, callsAfterA)
 	}
 	st := svc.Stats()
 	if st.FlipHits != len(pairs) {
-		t.Fatalf("second view: %d flip hits, want %d", st.FlipHits, len(pairs))
+		t.Fatalf("second view: %d peek hits, want %d", st.FlipHits, len(pairs))
 	}
 	if st.Lookups != afterA.Lookups || st.Misses != afterA.Misses {
-		t.Fatalf("memo-answered view touched the score store: lookups %d->%d, misses %d->%d",
+		t.Fatalf("peek-answered view reached a store lookup: lookups %d->%d, misses %d->%d",
 			afterA.Lookups, st.Lookups, afterA.Misses, st.Misses)
 	}
 	// Private-equivalent accounting: view B requested unique evaluations
@@ -89,10 +90,10 @@ func TestFlipMemoAnswersAcrossViews(t *testing.T) {
 	}
 }
 
-// TestFlipMemoizedKeyLaterScored covers the sentinel path: a view that
-// learned a key's class from the memo (score never fetched) must treat a
-// later score request as a view hit and silently fetch the score from
-// the shared store without a new model call.
+// TestFlipMemoizedKeyLaterScored: a view that learned a key from a
+// store peek holds its score, so a later score request is a view hit
+// answered locally — no model call, no store lookup, nothing charged as
+// a miss.
 func TestFlipMemoizedKeyLaterScored(t *testing.T) {
 	m := &countingModel{}
 	svc := NewService(m, ServiceOptions{})
@@ -107,8 +108,12 @@ func TestFlipMemoizedKeyLaterScored(t *testing.T) {
 	if _, err := b.ScoreFlipsContext(context.Background(), pairs, true); err != nil {
 		t.Fatal(err)
 	}
+	if st := svc.Stats(); st.FlipHits != len(pairs) {
+		t.Fatalf("second view: %d peek hits, want %d", st.FlipHits, len(pairs))
+	}
 	callsBefore := m.calls
 	preB := b.Stats()
+	svcBefore := svc.Stats()
 
 	scores, err := b.ScoreBatchContext(context.Background(), pairs)
 	if err != nil {
@@ -116,44 +121,47 @@ func TestFlipMemoizedKeyLaterScored(t *testing.T) {
 	}
 	for i := range wantScores {
 		if scores[i] != wantScores[i] {
-			t.Fatalf("memoized key %d rescored to %v, want %v", i, scores[i], wantScores[i])
+			t.Fatalf("peeked key %d rescored to %v, want %v", i, scores[i], wantScores[i])
 		}
 	}
 	if m.calls != callsBefore {
-		t.Fatalf("scoring memoized keys reached the model: %d calls, want %d", m.calls, callsBefore)
+		t.Fatalf("scoring peeked keys reached the model: %d calls, want %d", m.calls, callsBefore)
 	}
 	vb := b.Stats()
 	if vb.Hits != preB.Hits+len(pairs) {
-		t.Fatalf("memoized keys must resolve as view hits: hits %d -> %d, want +%d",
+		t.Fatalf("peeked keys must resolve as view hits: hits %d -> %d, want +%d",
 			preB.Hits, vb.Hits, len(pairs))
 	}
 	if vb.Misses != preB.Misses || vb.Batches != preB.Batches {
-		t.Fatalf("silent fetch charged the view: misses %d->%d, batches %d->%d",
+		t.Fatalf("re-scoring charged the view: misses %d->%d, batches %d->%d",
 			preB.Misses, vb.Misses, preB.Batches, vb.Batches)
 	}
-
-	// Once fetched, the keys live in the view's score map; a repeat batch
-	// is answered locally without touching the shared store at all.
-	svcBefore := svc.Stats()
-	if _, err := b.ScoreBatchContext(context.Background(), pairs); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.Stats(); st.Lookups != svcBefore.Lookups {
-		t.Fatalf("repeat batch leaked to the store: %d -> %d lookups", svcBefore.Lookups, st.Lookups)
+	if st := svc.Stats(); st != svcBefore {
+		t.Fatalf("peeked keys re-scored through the store: %+v -> %+v", svcBefore, st)
 	}
 }
 
-// TestFlipMemoDisabled pins the ablation path: with DisableFlipMemo the
-// oracle call degrades to score-plus-threshold and records no flip
-// statistics, and answers are unchanged.
-func TestFlipMemoDisabled(t *testing.T) {
+// TestFlipDisabledViewSkipsPeek pins the cache-disabled path: flip
+// questions degrade to score-plus-threshold, every question is
+// materialized and reaches the model, no peek is recorded, and answers
+// are unchanged.
+func TestFlipDisabledViewSkipsPeek(t *testing.T) {
 	m := &countingModel{}
-	svc := NewService(m, ServiceOptions{DisableFlipMemo: true})
+	svc := NewService(m, ServiceOptions{})
 	pairs := flipPairs()
+	keys := make([]string, len(pairs))
+	for i, p := range pairs {
+		keys[i] = Key(p)
+	}
 	for _, y := range []bool{false, true} {
 		want := wantFlips(svc, pairs, y)
-		s := svc.NewScorer(Options{})
-		got, err := s.ScoreFlipsContext(context.Background(), pairs, y)
+		s := svc.NewScorer(Options{Disabled: true})
+		materialized := 0
+		callsBefore := m.calls
+		got, err := s.ScoreFlipsKeyedContext(context.Background(), keys, y, func(i int) record.Pair {
+			materialized++
+			return pairs[i]
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,9 +170,121 @@ func TestFlipMemoDisabled(t *testing.T) {
 				t.Fatalf("y=%v: flip %d = %v, want %v", y, i, got[i], want[i])
 			}
 		}
+		if materialized != len(pairs) || m.calls-callsBefore != len(pairs) {
+			t.Fatalf("y=%v: %d materialized, %d model calls, want %d each",
+				y, materialized, m.calls-callsBefore, len(pairs))
+		}
 	}
 	if st := svc.Stats(); st.FlipLookups != 0 || st.FlipHits != 0 {
-		t.Fatalf("disabled memo recorded flip stats: %+v", st)
+		t.Fatalf("disabled views recorded peeks: %+v", st)
+	}
+}
+
+// TestFlipPeekSkipsInFlight: a key another caller is still scoring is
+// not answered by the peek (only published scores are); the question
+// falls through to fetch, which joins the leader's computation through
+// singleflight instead of calling the model again.
+func TestFlipPeekSkipsInFlight(t *testing.T) {
+	m := blockingModel{entered: make(chan struct{}), release: make(chan struct{})}
+	svc := NewService(m, ServiceOptions{})
+	p := pairOf("x", "y")
+
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := svc.ScoreBatchContext(context.Background(), []record.Pair{p})
+		leaderDone <- err
+	}()
+	<-m.entered // the leader has claimed the key and sits in the model
+
+	materialized := 0
+	type answer struct {
+		flips []bool
+		err   error
+	}
+	viewDone := make(chan answer, 1)
+	go func() {
+		flips, err := svc.NewScorer(Options{}).ScoreFlipsKeyedContext(context.Background(),
+			[]string{Key(p)}, false, func(int) record.Pair {
+				materialized++
+				return p
+			})
+		viewDone <- answer{flips, err}
+	}()
+	// Release the leader only once the view has enlisted on its entry:
+	// one peek and a second store lookup.
+	deadline := time.Now().Add(2 * time.Second)
+	for st := svc.Stats(); st.FlipLookups != 1 || st.Lookups != 2; st = svc.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("view never enlisted on the in-flight entry: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(m.release)
+	if err := <-leaderDone; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-viewDone:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if !got.flips[0] { // score 0.7 -> class true, y=false
+			t.Fatalf("flip = false, want true")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("view blocked: it called the model instead of joining the leader")
+	}
+	if materialized != 1 {
+		t.Fatalf("in-flight key materialized %d times, want 1", materialized)
+	}
+	st := svc.Stats()
+	if st.FlipHits != 0 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("service stats = %+v, want 0 peek hits, 1 model call, 1 in-flight hit", st)
+	}
+}
+
+// TestFlipPeekEvictedRescored: under a Capacity bound the peek sees only
+// what the store still holds, so a key evicted since it was scored is
+// materialized and scored again, while a resident one is answered.
+func TestFlipPeekEvictedRescored(t *testing.T) {
+	m := &countingModel{}
+	svc := NewService(m, ServiceOptions{Capacity: 1, Shards: 1})
+	pairs := flipPairs()[:2]
+	warm := svc.NewScorer(Options{})
+	for _, p := range pairs {
+		if _, err := warm.ScoreBatchContext(context.Background(), []record.Pair{p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := svc.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	}
+
+	want := wantFlips(svc, pairs, false)
+	keys := []string{Key(pairs[0]), Key(pairs[1])}
+	materialized := map[int]int{}
+	callsBefore := m.calls
+	got, err := svc.NewScorer(Options{}).ScoreFlipsKeyedContext(context.Background(), keys, false,
+		func(i int) record.Pair {
+			materialized[i]++
+			return pairs[i]
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("flip %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if len(materialized) != 1 || materialized[0] != 1 {
+		t.Fatalf("materialized %v, want exactly the evicted index 0 once", materialized)
+	}
+	if m.calls != callsBefore+1 {
+		t.Fatalf("model calls %d -> %d, want the evicted key re-scored once", callsBefore, m.calls)
+	}
+	if st := svc.Stats(); st.FlipLookups != 2 || st.FlipHits != 1 {
+		t.Fatalf("peek stats %d/%d, want 1 hit of 2 lookups", st.FlipHits, st.FlipLookups)
 	}
 }
 

@@ -39,29 +39,17 @@ type PerturbKeyer struct {
 // like Key).
 func NewPerturbKeyer(p record.Pair, side record.Side, w *record.Record) *PerturbKeyer {
 	free := p.Record(side)
-	var head strings.Builder
-	if side == record.Right {
-		writeRecord(&head, p.Left)
-		head.WriteByte('|')
-	}
-	head.WriteString(strconv.Itoa(len(free.Schema.Name)))
-	head.WriteByte('#')
-	head.WriteString(free.Schema.Name)
-
-	var tail strings.Builder
-	if side == record.Left {
-		tail.WriteByte('|')
-		writeRecord(&tail, p.Right)
-	}
+	head, tail := keyFrame(p, side)
+	var b strings.Builder
+	b.WriteString(head)
+	writeHeader(&b, free.Schema.Name)
 
 	frags := make([][2]string, len(free.Schema.Attrs))
 	for i, a := range free.Schema.Attrs {
-		fv := free.Values[i]
-		wv := w.Value(a)
-		frags[i][0] = ";" + strconv.Itoa(len(fv)) + ":" + fv
-		frags[i][1] = ";" + strconv.Itoa(len(wv)) + ":" + wv
+		frags[i][0] = valueFrag(free.Values[i])
+		frags[i][1] = valueFrag(w.Value(a))
 	}
-	return &PerturbKeyer{head: head.String(), tail: tail.String(), frags: frags}
+	return &PerturbKeyer{head: b.String(), tail: tail, frags: frags}
 }
 
 // Key assembles the canonical key for the subset mask: bit i selects the
@@ -79,5 +67,87 @@ func (k *PerturbKeyer) Key(mask uint32) string {
 		b.WriteString(k.frags[i][(mask>>uint(i))&1])
 	}
 	b.WriteString(k.tail)
+	return b.String()
+}
+
+// CandidateKeyer assembles the canonical keys of support-search
+// candidates — the pair with one side's record replaced by a source
+// record w, possibly with one of w's values substituted — without
+// building the candidate record or pair. The fixed side's bytes are
+// serialized once per keyer and each source record once per Reset, so
+// a candidate key costs one allocation:
+//
+//	Key()         == Key(p.WithRecord(side, w))
+//	KeyWith(i, v) == Key(p.WithRecord(side, w.WithValue(w.Schema.Attrs[i], v)))
+//
+// TestPerturbKeyerMatchesMaterializedKey gates both identities.
+type CandidateKeyer struct {
+	head, tail string
+	key        string // Key() of the current record
+	frags      []int  // offset in key of each value fragment, then of the tail
+}
+
+// NewCandidateKeyer prepares key assembly for candidates on the given
+// side of p; p's record on the other side is the fixed one (nil is
+// tolerated, exactly like Key).
+func NewCandidateKeyer(p record.Pair, side record.Side) *CandidateKeyer {
+	head, tail := keyFrame(p, side)
+	return &CandidateKeyer{head: head, tail: tail}
+}
+
+// Reset makes w, a non-nil record, the current candidate source.
+func (k *CandidateKeyer) Reset(w *record.Record) {
+	var b strings.Builder
+	b.WriteString(k.head)
+	writeHeader(&b, w.Schema.Name)
+	k.frags = k.frags[:0]
+	for _, v := range w.Values {
+		k.frags = append(k.frags, b.Len())
+		writeValue(&b, v)
+	}
+	k.frags = append(k.frags, b.Len())
+	b.WriteString(k.tail)
+	k.key = b.String()
+}
+
+// Key returns the key of the current record itself.
+func (k *CandidateKeyer) Key() string { return k.key }
+
+// KeyWith returns the key of the current record with value index i
+// replaced by v.
+func (k *CandidateKeyer) KeyWith(i int, v string) string {
+	var num [20]byte
+	n := strconv.AppendInt(num[:0], int64(len(v)), 10)
+	pre, post := k.key[:k.frags[i]], k.key[k.frags[i+1]:]
+	var b strings.Builder
+	b.Grow(len(pre) + 2 + len(n) + len(v) + len(post))
+	b.WriteString(pre)
+	b.WriteByte(';')
+	b.Write(n)
+	b.WriteByte(':')
+	b.WriteString(v)
+	b.WriteString(post)
+	return b.String()
+}
+
+// keyFrame returns the serialized bytes around side's record in Key(p):
+// the left record and '|' before a right-side record, '|' and the right
+// record after a left-side one.
+func keyFrame(p record.Pair, side record.Side) (head, tail string) {
+	var b strings.Builder
+	if side == record.Right {
+		writeRecord(&b, p.Left)
+		b.WriteByte('|')
+		return b.String(), ""
+	}
+	b.WriteByte('|')
+	writeRecord(&b, p.Right)
+	return "", b.String()
+}
+
+// valueFrag returns one value's ";len:value" key fragment.
+func valueFrag(v string) string {
+	var b strings.Builder
+	writeValue(&b, v)
 	return b.String()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"certa/internal/record"
+	"certa/internal/strutil"
 )
 
 // perturbMirror is the reference implementation the keyer must match:
@@ -25,16 +26,20 @@ func perturbMirror(p record.Pair, side record.Side, w *record.Record, mask uint3
 }
 
 // TestPerturbKeyerMatchesMaterializedKey is the byte-identity gate
-// promised by PerturbKeyer's doc comment: for random schemas, values
-// (empty, unicode, and delimiter-colliding strings included), sides,
-// support schemas with missing attributes and every mask, Key(mask)
-// equals Key(perturb(...)) of the materialized record.
+// promised by the keyers' doc comments: for random schemas, values
+// (empty, NaN, unicode, and delimiter-colliding strings included),
+// schema names containing the key's own delimiters, both sides, support
+// schemas with missing attributes and every mask, PerturbKeyer.Key(mask)
+// equals Key(perturb(...)) of the materialized record; and for every
+// attribute and substituted value, CandidateKeyer's keys equal the keys
+// of the materialized candidate pairs.
 func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	alphabet := []string{
-		"", "x", "value with spaces", "é", "日本語",
-		";", ":", "|", "<nil>", "3#S", ";1:x", strings.Repeat("z", 50),
+		"", "x", "NaN", "value with spaces", "é", "日本語",
+		";", ":", "|", "#", "<nil>", "3#S", ";1:x", strings.Repeat("z", 50),
 	}
+	schemaNames := []string{"S", "", "a;b", "x:1", "3#S", ";1:x#"}
 	pick := func() string { return alphabet[rng.Intn(len(alphabet))] }
 
 	for trial := 0; trial < 200; trial++ {
@@ -43,7 +48,7 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 		for i := range attrs {
 			attrs[i] = string(rune('a' + i))
 		}
-		schema, err := record.NewSchema("S", attrs...)
+		schema, err := record.NewSchema(schemaNames[rng.Intn(len(schemaNames))], attrs...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +65,7 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 		if len(wAttrs) == 0 {
 			wAttrs = attrs[:1]
 		}
-		wSchema, err := record.NewSchema("W", wAttrs...)
+		wSchema, err := record.NewSchema(schemaNames[rng.Intn(len(schemaNames))], wAttrs...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +103,30 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 				t.Fatalf("trial %d side %v mask %b:\nkeyer %q\nwant  %q", trial, side, mask, got, want)
 			}
 		}
+
+		// Support-search candidates: w itself, and w with one value
+		// replaced, on both sides of the pair.
+		for _, cside := range []record.Side{record.Left, record.Right} {
+			ck := NewCandidateKeyer(p, cside)
+			ck.Reset(w)
+			if got, want := ck.Key(), Key(p.WithRecord(cside, w)); got != want {
+				t.Fatalf("trial %d side %v candidate:\nkeyer %q\nwant  %q", trial, cside, got, want)
+			}
+			for i, a := range wSchema.Attrs {
+				for _, v := range []string{"", strutil.NaN, pick()} {
+					got := ck.KeyWith(i, v)
+					want := Key(p.WithRecord(cside, w.WithValue(a, v)))
+					if got != want {
+						t.Fatalf("trial %d side %v attr %s value %q:\nkeyer %q\nwant  %q", trial, cside, a, v, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestFlipKeyedSkipsMaterialization pins the streaming win: once a pair
-// content's class is memo-resident, a keyed flip query must be answered
+// content's score is in the store, a keyed flip query must be answered
 // without ever materializing the pair — the materialize callback is the
 // proof, wired to fail the test if invoked.
 func TestFlipKeyedSkipsMaterialization(t *testing.T) {
@@ -124,7 +148,7 @@ func TestFlipKeyedSkipsMaterialization(t *testing.T) {
 
 	b := svc.NewScorer(Options{})
 	got, err := b.ScoreFlipsKeyedContext(context.Background(), keys, y, func(i int) record.Pair {
-		t.Fatalf("memo-resident key %d materialized", i)
+		t.Fatalf("store-resident key %d materialized", i)
 		return record.Pair{}
 	})
 	if err != nil {
@@ -136,7 +160,7 @@ func TestFlipKeyedSkipsMaterialization(t *testing.T) {
 		}
 	}
 	if m.calls != callsAfterA {
-		t.Fatalf("memo-answered keyed query reached the model: %d calls, want %d", m.calls, callsAfterA)
+		t.Fatalf("peek-answered keyed query reached the model: %d calls, want %d", m.calls, callsAfterA)
 	}
 	// The view's own accounting still reads like a private cache's.
 	vb := b.Stats()
@@ -146,9 +170,9 @@ func TestFlipKeyedSkipsMaterialization(t *testing.T) {
 	}
 }
 
-// TestFlipMemoPopulatedByScoring checks that plain score traffic seeds
-// the flip memo: every freshly scored key's class is published, so a
-// later flip query from any view is a memo hit with no new store lookup.
+// TestFlipMemoPopulatedByScoring checks that plain score traffic serves
+// flip questions: every freshly scored key is published in the store, so
+// a later flip query from any view is a peek hit with no store lookup.
 func TestFlipMemoPopulatedByScoring(t *testing.T) {
 	m := &countingModel{}
 	svc := NewService(m, ServiceOptions{})
@@ -176,16 +200,16 @@ func TestFlipMemoPopulatedByScoring(t *testing.T) {
 	}
 	st := svc.Stats()
 	if st.FlipHits != len(pairs) {
-		t.Fatalf("scored keys not memo-resident: %d flip hits, want %d", st.FlipHits, len(pairs))
+		t.Fatalf("scored keys not peeked: %d peek hits, want %d", st.FlipHits, len(pairs))
 	}
 	if st.Lookups != afterScore.Lookups || st.Misses != afterScore.Misses {
-		t.Fatalf("memo-answered view touched the score store: lookups %d->%d, misses %d->%d",
+		t.Fatalf("peek-answered view reached a store lookup: lookups %d->%d, misses %d->%d",
 			afterScore.Lookups, st.Lookups, afterScore.Misses, st.Misses)
 	}
 }
 
 // TestFlipKeyedMaterializesOnlyMisses exercises the mixed case: a batch
-// holding memo-resident keys, in-batch duplicates and true misses must
+// holding store-resident keys, in-batch duplicates and true misses must
 // materialize exactly the unique misses.
 func TestFlipKeyedMaterializesOnlyMisses(t *testing.T) {
 	m := &countingModel{}

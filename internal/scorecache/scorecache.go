@@ -97,13 +97,7 @@ type Scorer struct {
 
 	mu    sync.Mutex
 	local map[string]float64
-	// memoized holds keys whose flip outcome was answered by the shared
-	// flip memo (predicted class known, score never fetched). The view
-	// counts them as seen — a private cache would hold their scores — so
-	// a later score request for one is a view hit whose score is fetched
-	// from the shared store without recounting the work.
-	memoized map[string]bool
-	stats    Stats
+	stats Stats
 }
 
 // New wraps a model in a private scoring view: a fresh single-view
@@ -178,18 +172,11 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]
 	}
 
 	// Resolve view hits and collect unique misses in first-occurrence
-	// order. Keys the flip memo answered earlier (sentinel) also need a
-	// fetch — the view never saw their scores — but count as view hits,
-	// not misses: a private cache would be answering from its own store.
-	type miss struct {
-		key      string
-		pair     record.Pair
-		sentinel bool
-	}
-	var misses []miss
+	// order.
+	var misses []string
+	var missPairs []record.Pair
 	missAt := make(map[string]int) // key -> index into misses
 	pending := make([][]int, 0)    // miss index -> output slots
-	counted := 0                   // misses charged to the view (non-sentinel)
 
 	s.mu.Lock()
 	s.stats.Lookups += len(pairs)
@@ -206,21 +193,14 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]
 				s.stats.Hits++
 				continue
 			}
-			if _, ok := s.memoized[k]; ok {
-				s.stats.Hits++
-				missAt[k] = len(misses)
-				misses = append(misses, miss{key: k, pair: pairs[i], sentinel: true})
-				pending = append(pending, []int{i})
-				continue
-			}
 		}
 		missAt[k] = len(misses)
-		misses = append(misses, miss{key: k, pair: pairs[i]})
+		misses = append(misses, k)
+		missPairs = append(missPairs, pairs[i])
 		pending = append(pending, []int{i})
-		counted++
 	}
-	if counted > 0 {
-		s.stats.Misses += counted
+	if len(misses) > 0 {
+		s.stats.Misses += len(misses)
 		s.stats.Batches++
 	}
 	s.mu.Unlock()
@@ -232,31 +212,18 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]
 	var scores []float64
 	var err error
 	if s.opts.Disabled {
-		missPairs := make([]record.Pair, len(misses))
-		for i, m := range misses {
-			missPairs[i] = m.pair
-		}
 		scores, err = s.svc.direct(ctx, missPairs, s.opts.Parallelism)
 	} else {
-		missKeys := make([]string, len(misses))
-		missPairs := make([]record.Pair, len(misses))
-		for i, m := range misses {
-			missKeys[i] = m.key
-			missPairs[i] = m.pair
-		}
-		scores, err = s.svc.fetch(ctx, missKeys, missPairs)
+		scores, err = s.svc.fetch(ctx, misses, missPairs)
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	s.mu.Lock()
-	for mi, m := range misses {
+	for mi, k := range misses {
 		if !s.opts.Disabled {
-			s.local[m.key] = scores[mi]
-			if m.sentinel {
-				delete(s.memoized, m.key)
-			}
+			s.local[k] = scores[mi]
 		}
 		for _, slot := range pending[mi] {
 			out[slot] = scores[mi]
@@ -266,17 +233,14 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]
 	return out, nil
 }
 
-// ScoreFlipsContext answers the lattice oracle's real question — does
-// this perturbed pair's predicted class differ from y? — through the
-// shared cross-explanation flip memo. It is ScoreFlipsKeyedContext with
-// the keys derived from the materialized pairs; callers that can compute
-// keys without building the pairs (the lattice oracle, via PerturbKeyer)
-// should use the keyed entry point directly so memo- and view-resident
-// questions skip pair materialization entirely.
+// ScoreFlipsContext answers the oracle question of the lattice and the
+// support search — does this pair's predicted class differ from y? It
+// is ScoreFlipsKeyedContext with the keys derived from the materialized
+// pairs; callers that can compute keys without building the pairs (via
+// PerturbKeyer or CandidateKeyer) should use the keyed entry point
+// directly so store-resident questions skip pair materialization
+// entirely.
 func (s *Scorer) ScoreFlipsContext(ctx context.Context, pairs []record.Pair, y bool) ([]bool, error) {
-	if s.opts.Disabled || !s.svc.flipEnabled() {
-		return s.flipsViaScores(ctx, pairs, y)
-	}
 	keys := make([]string, len(pairs))
 	for i, p := range pairs {
 		keys[i] = Key(p)
@@ -284,7 +248,7 @@ func (s *Scorer) ScoreFlipsContext(ctx context.Context, pairs []record.Pair, y b
 	return s.ScoreFlipsKeyedContext(ctx, keys, y, func(i int) record.Pair { return pairs[i] })
 }
 
-// flipsViaScores is the memo-less fallback: score everything, threshold.
+// flipsViaScores is the cache-disabled path: score everything, threshold.
 func (s *Scorer) flipsViaScores(ctx context.Context, pairs []record.Pair, y bool) ([]bool, error) {
 	scores, err := s.ScoreBatchContext(ctx, pairs)
 	if err != nil {
@@ -298,26 +262,26 @@ func (s *Scorer) flipsViaScores(ctx context.Context, pairs []record.Pair, y bool
 }
 
 // ScoreFlipsKeyedContext is the streaming form of ScoreFlipsContext: the
-// caller supplies canonical keys (see Key and PerturbKeyer) up front and
-// a materialize callback invoked only for the questions that truly need
-// a record.Pair — the ones no memo layer can answer. keys[i] must equal
-// Key(materialize(i)); materialize may be called at most once per index.
+// caller supplies canonical keys (see Key, PerturbKeyer and
+// CandidateKeyer) up front and a materialize callback invoked only for
+// the questions that truly need a record.Pair — the ones the store
+// cannot answer yet. keys[i] must equal Key(materialize(i)); materialize
+// is called at most once per index.
 //
 // Resolution order per question: the view classifies every key against
-// its private key set exactly as ScoreBatchContext would — local scores,
-// previously memo-answered keys and in-batch duplicates are view hits,
-// unique unseen keys are view misses — and only the misses are put to
-// the shared flip memo (one FlipLookup each; a hit means some other
-// explanation already scored this exact pair content and its class
-// answers the question with no score fetch, no model call and no pair
-// materialization). The two layers never disagree — a predicted class is
-// a pure function of pair content — so Stats, and therefore Diagnostics
-// and the anytime budgets they feed, are bit-identical to the unkeyed
-// path and independent of what the memo happens to hold. Only the view
-// misses the memo cannot answer are materialized and fetched through the
-// shared store.
+// its private key set exactly as ScoreBatchContext would — local scores
+// and in-batch duplicates are view hits, unique unseen keys are view
+// misses — and only the misses are peeked in the shared store (one
+// FlipLookup each; a hit means some explanation already scored this
+// exact pair content, so its score answers the question with no model
+// call, no singleflight wait and no pair materialization). Peeked
+// scores join the view's key set like fetched ones. Stats, and
+// therefore Diagnostics and the anytime budgets they feed, are
+// identical to the unkeyed path and independent of what the store
+// happens to hold. Only the misses the peek cannot answer — absent,
+// evicted or still in flight — are materialized and fetched.
 func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bool, materialize func(i int) record.Pair) ([]bool, error) {
-	if s.opts.Disabled || !s.svc.flipEnabled() {
+	if s.opts.Disabled {
 		pairs := make([]record.Pair, len(keys))
 		for i := range keys {
 			pairs[i] = materialize(i)
@@ -330,34 +294,32 @@ func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bo
 		return out, ctx.Err()
 	}
 
+	// missOf maps every key index the view could not answer to its
+	// unique miss; -1 marks the answered ones.
+	missOf := make([]int, len(keys))
 	var misses []int // key index of each unique unseen key
-	missAt := make(map[string]int)
-	pending := make([][]int, 0)
+	missAt := make(map[string]int, len(keys))
 
 	s.mu.Lock()
 	s.stats.Lookups += len(keys)
 	for i, k := range keys {
+		missOf[i] = -1
 		if v, ok := s.local[k]; ok {
 			out[i] = (v > 0.5) != y
 			s.stats.Hits++
 			continue
 		}
-		if cls, ok := s.memoized[k]; ok {
-			out[i] = cls != y
-			s.stats.Hits++
-			continue
-		}
 		if mi, ok := missAt[k]; ok {
-			pending[mi] = append(pending[mi], i)
+			missOf[i] = mi
 			s.stats.Hits++
 			continue
 		}
 		missAt[k] = len(misses)
+		missOf[i] = len(misses)
 		misses = append(misses, i)
-		pending = append(pending, []int{i})
 	}
 	if len(misses) > 0 {
-		// Memo-answered misses count like any other: the view requested a
+		// Peek-answered misses count like any other: the view requested a
 		// unique evaluation it had never seen, exactly what a private
 		// cache would charge — which keeps Diagnostics (and the anytime
 		// budget they feed) deterministic however the misses get answered.
@@ -370,64 +332,49 @@ func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bo
 		return out, nil
 	}
 
-	// Put only the questions the view could not answer itself to the
-	// shared memo — FlipHitRate then measures cross-explanation reuse,
-	// undiluted by questions this explanation had already settled.
 	missKeys := make([]string, len(misses))
-	for j, ki := range misses {
-		missKeys[j] = keys[ki]
+	for mi, ki := range misses {
+		missKeys[mi] = keys[ki]
 	}
-	// Memo-lookup span: how long the shared flip memo took to answer
-	// (or decline) this batch of unique unseen questions.
+	// The peek is the trace's "memo" stage: how long the store took to
+	// answer (or decline) this batch of unique unseen questions.
 	sp := telemetry.StartLeaf(ctx, "memo")
-	classes, known := s.svc.flipGet(missKeys)
+	scores, found := s.svc.peek(missKeys)
 	sp.AddItems(len(missKeys))
 	sp.End()
 
-	// Resolve memo-answered misses without materializing anything; the
-	// sentinel keeps a later score request for the same key honest (the
-	// view holds a class, not a score — the score still needs a fetch,
-	// charged as a view hit).
-	var fidx []int // miss indexes the memo could not answer
-	s.mu.Lock()
-	for mi, ki := range misses {
-		if known[mi] {
-			s.memoized[keys[ki]] = classes[mi]
-			flip := classes[mi] != y
-			for _, slot := range pending[mi] {
-				out[slot] = flip
-			}
-			continue
+	var fidx []int // miss indexes the peek could not answer
+	for mi, ok := range found {
+		if !ok {
+			fidx = append(fidx, mi)
 		}
-		fidx = append(fidx, mi)
 	}
-	s.mu.Unlock()
-
-	if len(fidx) == 0 {
-		return out, nil
-	}
-
-	fkeys := make([]string, len(fidx))
-	fpairs := make([]record.Pair, len(fidx))
-	for j, mi := range fidx {
-		fkeys[j] = keys[misses[mi]]
-		fpairs[j] = materialize(misses[mi])
-	}
-	scores, err := s.svc.fetch(ctx, fkeys, fpairs)
-	if err != nil {
-		return nil, err
+	if len(fidx) > 0 {
+		fkeys := make([]string, len(fidx))
+		fpairs := make([]record.Pair, len(fidx))
+		for j, mi := range fidx {
+			fkeys[j] = missKeys[mi]
+			fpairs[j] = materialize(misses[mi])
+		}
+		fetched, err := s.svc.fetch(ctx, fkeys, fpairs)
+		if err != nil {
+			return nil, err
+		}
+		for j, mi := range fidx {
+			scores[mi] = fetched[j]
+		}
 	}
 
 	s.mu.Lock()
-	for j, mi := range fidx {
-		v := scores[j]
-		s.local[fkeys[j]] = v
-		flip := (v > 0.5) != y
-		for _, slot := range pending[mi] {
-			out[slot] = flip
-		}
+	for mi, k := range missKeys {
+		s.local[k] = scores[mi]
 	}
 	s.mu.Unlock()
+	for i, mi := range missOf {
+		if mi >= 0 {
+			out[i] = (scores[mi] > 0.5) != y
+		}
+	}
 	return out, nil
 }
 
@@ -449,16 +396,25 @@ func writeRecord(b *strings.Builder, r *record.Record) {
 		b.WriteString("<nil>")
 		return
 	}
-	// The schema name is length-framed like the values: written bare, a
-	// schema named "S;1:x" would collide with a schema "S" holding the
-	// value "x".
-	b.WriteString(strconv.Itoa(len(r.Schema.Name)))
-	b.WriteByte('#')
-	b.WriteString(r.Schema.Name)
+	writeHeader(b, r.Schema.Name)
 	for _, v := range r.Values {
-		b.WriteByte(';')
-		b.WriteString(strconv.Itoa(len(v)))
-		b.WriteByte(':')
-		b.WriteString(v)
+		writeValue(b, v)
 	}
+}
+
+// writeHeader writes a record's schema name. It is length-framed like
+// the values: written bare, a schema named "S;1:x" would collide with a
+// schema "S" holding the value "x".
+func writeHeader(b *strings.Builder, name string) {
+	b.WriteString(strconv.Itoa(len(name)))
+	b.WriteByte('#')
+	b.WriteString(name)
+}
+
+// writeValue writes one attribute value as a ";len:value" fragment.
+func writeValue(b *strings.Builder, v string) {
+	b.WriteByte(';')
+	b.WriteString(strconv.Itoa(len(v)))
+	b.WriteByte(':')
+	b.WriteString(v)
 }

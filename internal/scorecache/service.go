@@ -3,6 +3,7 @@ package scorecache
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"certa/internal/explain"
@@ -26,12 +27,6 @@ type ServiceOptions struct {
 	// Shards is the number of lock stripes (default 32). More stripes
 	// reduce contention between concurrent explanations.
 	Shards int
-	// DisableFlipMemo turns off the cross-explanation flip-outcome memo
-	// (see Scorer.ScoreFlipsContext): every lattice oracle answer is then
-	// derived from a score lookup, as before the memo existed. Scores and
-	// explanation results are identical either way; the memo only changes
-	// how much shared work is spent producing them.
-	DisableFlipMemo bool
 }
 
 func (o ServiceOptions) withDefaults() ServiceOptions {
@@ -60,23 +55,20 @@ type ServiceStats struct {
 	Batches int
 	// Evictions counts entries dropped by the capacity bound.
 	Evictions int
-	// FlipLookups counts lattice flip questions the per-explanation views
-	// put to the flip-outcome memo: one per unique question the view
-	// could not answer from its own key set (duplicates and
-	// locally-settled questions never reach the memo); FlipHits counts
-	// the ones the memo answered — pair contents some explanation already
-	// scored, whose published class settles the question without a new
-	// score fetch, model call or even pair materialization (see
-	// Scorer.ScoreFlipsKeyedContext). FlipHitRate is therefore the
-	// cross-explanation reuse rate over the questions that needed an
-	// answer. The memo
-	// is populated from every batch the service scores, so triangle-search
-	// candidates — which dominate the store and recur across explanations
-	// that share a pivot — answer the lattice questions whose perturbed
-	// content coincides with them. Both counters are 0 when the memo is
-	// disabled. Hit attribution depends on scheduling (which explanation
-	// publishes a class first), so these two counters — unlike explanation
-	// Diagnostics — are not parallelism-deterministic.
+	// FlipLookups counts flip questions — from the lattice oracle and
+	// the support search — that the per-explanation views peeked in the
+	// store: one per unique question the view could not answer from its
+	// own key set (duplicates and locally-settled questions never reach
+	// the store). FlipHits counts the ones the peek answered — pair
+	// contents whose score some explanation already published, which
+	// settle the question without a singleflight wait, model call or
+	// even pair materialization (see Scorer.ScoreFlipsKeyedContext).
+	// FlipHitRate is therefore the cross-explanation reuse rate over
+	// the questions that needed an answer. Peeks are not store Lookups:
+	// only the questions a peek leaves open are fetched and counted
+	// there. Hit attribution depends on scheduling (which explanation
+	// publishes a score first), so these two counters — unlike
+	// explanation Diagnostics — are not parallelism-deterministic.
 	FlipLookups int
 	FlipHits    int
 }
@@ -144,21 +136,9 @@ type Service struct {
 	cmodel explain.ContextModel
 	opts   ServiceOptions
 	shards []serviceShard
-	flips  []flipShard // cross-explanation flip-outcome memo; nil when disabled
 
 	statmu sync.Mutex
 	stats  ServiceStats
-}
-
-// flipShard is one lock stripe of the flip-outcome memo: pair content →
-// predicted class (score > 0.5). The class is a pure function of the
-// content (scoring is deterministic), so whichever explanation publishes
-// it first, every later reader derives the same flip answer its own
-// scoring would have produced. Entries are one bool per key, so the memo
-// is left unbounded even when the score store has a capacity limit.
-type flipShard struct {
-	mu sync.RWMutex
-	m  map[string]bool
 }
 
 // NewService wraps a model in a shared scoring service. The model's
@@ -183,60 +163,38 @@ func NewService(m explain.Model, opts ServiceOptions) *Service {
 	for i := range s.shards {
 		s.shards[i] = serviceShard{entries: make(map[string]*entry), cap: perShard}
 	}
-	if !opts.DisableFlipMemo {
-		s.flips = make([]flipShard, opts.Shards)
-		for i := range s.flips {
-			s.flips[i].m = make(map[string]bool)
-		}
-	}
 	return s
 }
 
-// flipEnabled reports whether the flip-outcome memo is active.
-func (s *Service) flipEnabled() bool { return s.flips != nil }
-
-// flipGet consults the flip memo for each key, returning the known
-// classes and a parallel known-mask, and records the lookup statistics.
-func (s *Service) flipGet(keys []string) (classes, known []bool) {
-	classes = make([]bool, len(keys))
-	known = make([]bool, len(keys))
+// peek answers keys from ready store entries without claiming, waiting
+// or scoring: found[i] reports whether keys[i] had a published score,
+// and scores[i] is that score. Absent and in-flight keys are left to
+// fetch, which joins an in-flight computation through singleflight.
+// Every key counts as one FlipLookup and every answer as a FlipHit; a
+// peek hit refreshes the entry's recency like a fetch hit.
+func (s *Service) peek(keys []string) (scores []float64, found []bool) {
+	scores = make([]float64, len(keys))
+	found = make([]bool, len(keys))
 	hits := 0
 	for i, k := range keys {
-		fs := &s.flips[flipHash(k)%uint32(len(s.flips))]
-		fs.mu.RLock()
-		cls, ok := fs.m[k]
-		fs.mu.RUnlock()
-		if ok {
-			classes[i], known[i] = cls, true
-			hits++
+		sh := s.shardFor(k)
+		sh.mu.Lock()
+		if e, ok := sh.entries[k]; ok {
+			select {
+			case <-e.ready:
+				scores[i], found[i] = e.score, true
+				sh.touch(e)
+				hits++
+			default:
+			}
 		}
+		sh.mu.Unlock()
 	}
 	s.statmu.Lock()
 	s.stats.FlipLookups += len(keys)
 	s.stats.FlipHits += hits
 	s.statmu.Unlock()
-	return classes, known
-}
-
-// flipPut publishes predicted classes for freshly scored keys. Classes
-// are deterministic per key, so concurrent publishes agree and
-// last-writer-wins is benign.
-func (s *Service) flipPut(keys []string, classes []bool) {
-	for i, k := range keys {
-		fs := &s.flips[flipHash(k)%uint32(len(s.flips))]
-		fs.mu.Lock()
-		fs.m[k] = classes[i]
-		fs.mu.Unlock()
-	}
-}
-
-func flipHash(key string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
+	return scores, found
 }
 
 // Name implements explain.Model.
@@ -263,7 +221,7 @@ func (s *Service) NewScorer(opts Options) *Scorer {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 1
 	}
-	return &Scorer{svc: s, opts: opts, local: make(map[string]float64), memoized: make(map[string]bool)}
+	return &Scorer{svc: s, opts: opts, local: make(map[string]float64)}
 }
 
 // Score implements explain.Model through the shared store.
@@ -327,14 +285,44 @@ func (s *Service) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([
 	return out, nil
 }
 
-// shardFor stripes a key across the locks (FNV-1a).
+// shardFor stripes a key across the locks. Keys run to hundreds of
+// bytes, so the hash consumes them eight bytes at a time; it only
+// spreads lock contention and is free to change, unlike ShardHash,
+// which places keys on a serving ring.
 func (s *Service) shardFor(key string) *serviceShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+	return &s.shards[stripeHash(key)%uint64(len(s.shards))]
+}
+
+// stripeHash is a multiply-rotate hash over 64-bit little-endian words,
+// two independent lanes of them per step, with a final avalanche so
+// every key byte reaches the low bits the stripe index is taken from.
+func stripeHash(key string) uint64 {
+	const m1, m2 = 0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f
+	h1, h2 := uint64(len(key))*m1, uint64(len(key))*m2
+	for ; len(key) >= 16; key = key[16:] {
+		h1 = bits.RotateLeft64((h1^word(key[:8]))*m1, 31)
+		h2 = bits.RotateLeft64((h2^word(key[8:16]))*m2, 29)
 	}
-	return &s.shards[h%uint32(len(s.shards))]
+	if len(key) >= 8 {
+		h1 = bits.RotateLeft64((h1^word(key[:8]))*m1, 31)
+		key = key[8:]
+	}
+	var w uint64
+	for i := len(key) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(key[i])
+	}
+	h := (h1 ^ bits.RotateLeft64(h2, 32) ^ w) * m1
+	h ^= h >> 32
+	h *= m2
+	h ^= h >> 29
+	return h
+}
+
+// word reads the first 8 bytes of s as a little-endian uint64.
+func word(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // waiter records an output slot blocked on another goroutine's in-flight
@@ -521,20 +509,6 @@ func (s *Service) scoreClaims(ctx context.Context, keys []string, pairs []record
 		sh.mu.Unlock()
 	}
 	published = true
-	if s.flipEnabled() {
-		// Publish every freshly scored key's predicted class to the flip
-		// memo. Classes are one bool per content and never evicted, so the
-		// memo can answer lattice flip questions about any content the
-		// service ever scored — support candidates included — long after
-		// the score itself may have been evicted.
-		fkeys := make([]string, len(claims))
-		fclasses := make([]bool, len(claims))
-		for i, e := range claims {
-			fkeys[i] = e.key
-			fclasses[i] = scores[i] > 0.5
-		}
-		s.flipPut(fkeys, fclasses)
-	}
 	if evictions > 0 {
 		s.statmu.Lock()
 		s.stats.Evictions += evictions

@@ -139,9 +139,9 @@ func (s *Server) registerBackendMetrics(b *backend) {
 	m.GaugeFunc(metricCacheEntries, "Scores currently stored in the cache.", lbl,
 		func() float64 { return float64(b.svc.Len()) })
 
-	m.CounterFunc(metricFlipLookups, "Flip-outcome memo lookups (lattice oracle questions).", lbl,
+	m.CounterFunc(metricFlipLookups, "Flip questions (lattice and support search) peeked in the score store.", lbl,
 		func() float64 { return float64(b.svc.Stats().FlipLookups) })
-	m.CounterFunc(metricFlipHits, "Lattice oracle questions answered from the cross-explanation flip memo.", lbl,
+	m.CounterFunc(metricFlipHits, "Flip questions answered by a score-store peek at a score another explanation published.", lbl,
 		func() float64 { return float64(b.svc.Stats().FlipHits) })
 
 	if b.memo != nil {

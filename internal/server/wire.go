@@ -154,11 +154,10 @@ type BackendStats struct {
 	Batches   int     `json:"batches"`
 	Evictions int     `json:"evictions,omitempty"`
 	HitRate   float64 `json:"hit_rate"`
-	// The cross-explanation flip-outcome memo (see
-	// scorecache.ServiceStats): FlipHits counts lattice oracle questions
-	// answered without a score lookup because another explanation already
-	// settled the pair content's class. All zero when the memo is
-	// disabled.
+	// Score-store peeks (see scorecache.ServiceStats): FlipLookups
+	// counts the flip questions — lattice oracle and support search —
+	// a view peeked in the store, FlipHits those answered by a score
+	// another explanation already published, without a store lookup.
 	FlipLookups int     `json:"flip_lookups"`
 	FlipHits    int     `json:"flip_hits"`
 	FlipHitRate float64 `json:"flip_hit_rate"`

@@ -511,7 +511,8 @@ func SuffixTokens(s string, k int) string {
 }
 
 // DropFirstTokens removes the first k tokens (the paper's "drop first-k"
-// augmentation operator).
+// augmentation operator). It is the reference DropVariants is fuzzed
+// against.
 func DropFirstTokens(s string, k int) string {
 	toks := Tokenize(s)
 	if k < 0 {
@@ -524,7 +525,8 @@ func DropFirstTokens(s string, k int) string {
 }
 
 // DropLastTokens removes the last k tokens (the paper's "drop last-k"
-// augmentation operator).
+// augmentation operator). It is the reference DropVariants is fuzzed
+// against.
 func DropLastTokens(s string, k int) string {
 	toks := Tokenize(s)
 	if k < 0 {
@@ -534,4 +536,65 @@ func DropLastTokens(s string, k int) string {
 		return NaN
 	}
 	return JoinTokens(toks[:len(toks)-k])
+}
+
+// DropVariants holds one value's tokens as byte offsets into its
+// normalized form, so every DropFirstTokens and DropLastTokens variant
+// of the value is a substring of a single Normalize: the augmentation
+// scan derives all of a value's variants without re-tokenizing it per k
+// or joining tokens back together. FuzzDropTokenVariants holds it equal
+// to the two reference operators for every k.
+type DropVariants struct {
+	norm   string
+	starts []int // byte offset of each token in norm
+}
+
+// Reset points d at s, reusing its offset buffer.
+func (d *DropVariants) Reset(s string) {
+	d.starts = d.starts[:0]
+	d.norm = ""
+	if IsMissing(s) {
+		return
+	}
+	// Normalize emits single ASCII spaces between tokens and none at
+	// either end, so a token starts at 0 and after every space.
+	d.norm = Normalize(s)
+	if d.norm == "" {
+		return
+	}
+	d.starts = append(d.starts, 0)
+	for i := 0; i < len(d.norm); i++ {
+		if d.norm[i] == ' ' {
+			d.starts = append(d.starts, i+1)
+		}
+	}
+}
+
+// Tokens returns the token count, len(Tokenize(s)).
+func (d *DropVariants) Tokens() int { return len(d.starts) }
+
+// DropFirst returns DropFirstTokens(s, k).
+func (d *DropVariants) DropFirst(k int) string {
+	if k < 0 {
+		k = 0
+	}
+	if k >= len(d.starts) {
+		return NaN
+	}
+	return d.norm[d.starts[k]:]
+}
+
+// DropLast returns DropLastTokens(s, k).
+func (d *DropVariants) DropLast(k int) string {
+	if k < 0 {
+		k = 0
+	}
+	if k >= len(d.starts) {
+		return NaN
+	}
+	if k == 0 {
+		return d.norm
+	}
+	// The kept prefix ends at the space before the first dropped token.
+	return d.norm[:d.starts[len(d.starts)-k]-1]
 }

@@ -27,6 +27,11 @@ go build ./...
 echo "== go test =="
 go test -timeout 300s ./...
 
+# A short native-fuzz pass over the augmentation's token-drop helper:
+# DropVariants must equal DropFirstTokens/DropLastTokens for every k.
+echo "== fuzz (FuzzDropTokenVariants, 10s) =="
+go test -run '^$' -fuzz FuzzDropTokenVariants -fuzztime 10s ./internal/strutil
+
 echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + HTTP serving + lattice + telemetry + cluster routing) =="
 go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
 
@@ -65,8 +70,8 @@ grep -q '"retrieval_speedup"' BENCH_explain.json
 echo "index section present, build_ms recorded"
 
 # The scoring-engine probe must be present: forward-pass kernel speedup,
-# embedding-store and flip-memo reuse, and the trajectory vs the PR 5
-# baseline throughput.
+# embedding-store and store-peek reuse, and the trajectory vs the
+# recorded baseline throughput.
 echo "== bench scoring probe assertions =="
 grep -q '"scoring"' BENCH_explain.json
 grep -q '"forward_pass_speedup"' BENCH_explain.json
@@ -109,12 +114,13 @@ grep -q '"routed_byte_identical_to_direct": true' BENCH_explain.json
 echo "cluster section present, routed responses byte-identical to direct"
 
 # Numeric gates. The serve section's flip_memo_hit_rate measures
-# cross-explanation reuse (the load cycles its pairs, so warm passes
-# answer lattice questions from the memo): it must clear 0.2. The
-# pruning section's saliency_top2_agreement is the pruned estimator's
-# quality gate: it must clear 0.9. Section order in the JSON is
-# index, anytime, serve, scoring, pruning — the awk scripts key on the
-# section name before reading the field.
+# cross-explanation reuse — the share of flip questions answered by a
+# score-store peek (the load cycles its pairs, so warm passes answer
+# lattice and support-search questions from the store): it must clear
+# 0.2. The pruning section's saliency_top2_agreement is the pruned
+# estimator's quality gate: it must clear 0.9. Section order in the
+# JSON is index, anytime, serve, scoring, pruning, telemetry, cluster
+# — the awk scripts key on the section name before reading the field.
 echo "== bench numeric gates =="
 serve_flip=$(awk -F': ' '/"serve"/{s=1} s && /"flip_memo_hit_rate"/{gsub(/,/,"",$2); print $2; exit}' BENCH_explain.json)
 echo "serve flip_memo_hit_rate: $serve_flip (gate: >= 0.2)"
