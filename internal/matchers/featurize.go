@@ -2,10 +2,12 @@ package matchers
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"certa/internal/dataset"
 	"certa/internal/embedding"
@@ -105,12 +107,18 @@ func (f *deepERFeat) appendFeatures(dst []float64, p record.Pair, text textFunc)
 
 // deepMatcherFeat computes a block of similarity features per aligned
 // attribute (the "attribute summarization" of the Hybrid model): the
-// model sees exactly which attribute agrees or disagrees. When a memo is
-// attached (Model.initCaches), each distinct value pair's block —
+// model sees exactly which attribute agrees or disagrees. A block —
 // embedding cosine plus four string similarities, including an O(n²)
-// edit distance — is computed once per matcher lifetime: perturbed pairs
-// recombine a small set of attribute values, so lattice workloads hit
-// the memo almost every time.
+// edit distance — is a pure function of the attribute's value pair and
+// is reused at two levels:
+//
+//   - the memo (attached by Model.initCaches) keeps every block for the
+//     matcher's lifetime, keyed by the two strings themselves;
+//   - appendBatch resolves each distinct value pair of a batch once,
+//     through a batch-local table keyed by string identity, before it
+//     consults the memo. Perturbed pairs recombine a few attribute
+//     values, so a lattice batch of 2^n rows reaches the memo only a
+//     handful of times per attribute.
 type deepMatcherFeat struct {
 	emb   *embedding.Embedder
 	attrs []string
@@ -125,47 +133,138 @@ func (f *deepMatcherFeat) embedder() *embedding.Embedder { return f.emb }
 
 func (f *deepMatcherFeat) appendFeatures(dst []float64, p record.Pair, text textFunc) []float64 {
 	for _, a := range f.attrs {
-		lv, rv := p.Left.Value(a), p.Right.Value(a)
-		if f.memo != nil {
-			blk := f.memo.get(lv, rv, text)
-			dst = append(dst, blk[:]...)
-		} else {
-			dst = appendAttrBlock(dst, text, lv, rv)
-		}
+		dst = f.appendBlock(dst, text, p.Left.Value(a), p.Right.Value(a))
 	}
 	return dst
 }
 
-// blockMemo caches DeepMatcher attribute blocks by value pair. attrBlock
-// is a pure function of (lv, rv) — text embeds deterministically — so
-// memoized blocks are bit-identical to recomputed ones. Striped locks
-// keep concurrent explanations out of each other's way.
+// appendBlock appends the block of one value pair, through the memo
+// when one is attached.
+func (f *deepMatcherFeat) appendBlock(dst []float64, text textFunc, lv, rv string) []float64 {
+	if f.memo == nil {
+		return appendAttrBlock(dst, text, lv, rv)
+	}
+	blk := f.memo.get(lv, rv, text)
+	return append(dst, blk[:]...)
+}
+
+// appendBatch appends the features of every pair, index-aligned and
+// bit-identical to appendFeatures per pair. Each record schema's
+// attribute columns are resolved once per batch, and each distinct
+// value pair is resolved once per batch: rows look their blocks up in a
+// pooled map keyed by string identity, so a repeated pair costs a probe
+// on a four-word key and a block copy, and no allocation.
+func (f *deepMatcherFeat) appendBatch(dst []float64, pairs []record.Pair, text textFunc) []float64 {
+	sc := batchScratchPool.Get().(*batchScratch)
+	for _, p := range pairs {
+		lc := sc.columns(p.Left.Schema, f.attrs)
+		rc := sc.columns(p.Right.Schema, f.attrs)
+		for i := range f.attrs {
+			lv, rv := column(p.Left, lc[i]), column(p.Right, rc[i])
+			k := identPair{unsafe.StringData(lv), unsafe.StringData(rv), len(lv), len(rv)}
+			off, ok := sc.slots[k]
+			if !ok {
+				off = int32(len(sc.blocks))
+				sc.blocks = f.appendBlock(sc.blocks, text, lv, rv)
+				sc.slots[k] = off
+			}
+			dst = append(dst, sc.blocks[off:off+dmBlock]...)
+		}
+	}
+	sc.reset()
+	batchScratchPool.Put(sc)
+	return dst
+}
+
+// identPair names a value pair by the data pointers and lengths of its
+// two strings. Two strings with the same pointer and length hold the
+// same bytes while both stay reachable, and every string of a batch is
+// reachable through the caller's pairs slice until appendBatch
+// returns. Equal values at different addresses get separate slots and
+// meet again in the memo, which compares contents.
+type identPair struct {
+	l, r   *byte
+	ll, rl int
+}
+
+// batchScratch is the pooled, batch-local state of appendBatch: the
+// column indices of each schema seen in the batch and the blocks
+// resolved so far. reset empties it without giving up its capacity.
+type batchScratch struct {
+	schemas []*record.Schema
+	cols    []int               // len(attrs) indices per schema, -1 where the attribute is absent
+	slots   map[identPair]int32 // block offset in blocks
+	blocks  []float64
+}
+
+var batchScratchPool = sync.Pool{New: func() any {
+	return &batchScratch{slots: make(map[identPair]int32)}
+}}
+
+// columns returns s's column index for every attribute of attrs,
+// resolving them on the schema's first appearance in the batch.
+func (sc *batchScratch) columns(s *record.Schema, attrs []string) []int {
+	n := len(attrs)
+	for i, seen := range sc.schemas {
+		if seen == s {
+			return sc.cols[i*n : (i+1)*n]
+		}
+	}
+	sc.schemas = append(sc.schemas, s)
+	for _, a := range attrs {
+		sc.cols = append(sc.cols, s.AttrIndex(a))
+	}
+	return sc.cols[len(sc.cols)-n:]
+}
+
+func (sc *batchScratch) reset() {
+	clear(sc.schemas)
+	sc.schemas = sc.schemas[:0]
+	sc.cols = sc.cols[:0]
+	clear(sc.slots)
+	sc.blocks = sc.blocks[:0]
+}
+
+// column is Record.Value with the attribute's index already resolved.
+func column(r *record.Record, i int) string {
+	if i < 0 {
+		return strutil.NaN
+	}
+	return r.Values[i]
+}
+
+// blockMemo caches DeepMatcher attribute blocks by value pair for the
+// matcher's lifetime. A block is a pure function of (lv, rv) — text
+// embeds deterministically — so memoized blocks are bit-identical to
+// recomputed ones. Keys hold the two strings as they are, with no
+// copy; striped locks, picked by an allocation-free hash of both
+// sides, keep concurrent explanations out of each other's way.
 type blockMemo struct {
+	seed   maphash.Seed
 	shards [16]blockShard
 }
 
+type valuePair struct{ l, r string }
+
 type blockShard struct {
 	mu sync.RWMutex
-	m  map[string][dmBlock]float64
+	m  map[valuePair][dmBlock]float64
 }
 
 func newBlockMemo() *blockMemo {
-	bm := &blockMemo{}
+	bm := &blockMemo{seed: maphash.MakeSeed()}
 	for i := range bm.shards {
-		bm.shards[i].m = make(map[string][dmBlock]float64)
+		bm.shards[i].m = make(map[valuePair][dmBlock]float64)
 	}
 	return bm
 }
 
-// blockKey frames the value pair unambiguously (length prefix, so value
-// contents cannot collide across the boundary).
-func blockKey(lv, rv string) string {
-	return strconv.Itoa(len(lv)) + ":" + lv + rv
-}
-
 func (bm *blockMemo) get(lv, rv string, text textFunc) [dmBlock]float64 {
-	key := blockKey(lv, rv)
-	sh := &bm.shards[fnvHash(key)&15]
+	// Rotating one side keeps lv == rv pairs, common on matches, from
+	// cancelling to a single stripe.
+	h := maphash.String(bm.seed, lv) ^ bits.RotateLeft64(maphash.String(bm.seed, rv), 32)
+	sh := &bm.shards[h%uint64(len(bm.shards))]
+	key := valuePair{lv, rv}
 	sh.mu.RLock()
 	blk, ok := sh.m[key]
 	sh.mu.RUnlock()
@@ -182,13 +281,16 @@ func (bm *blockMemo) get(lv, rv string, text textFunc) [dmBlock]float64 {
 	return out
 }
 
-func fnvHash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+// entries counts the memoized blocks.
+func (bm *blockMemo) entries() int {
+	n := 0
+	for i := range bm.shards {
+		sh := &bm.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
 	}
-	return h
+	return n
 }
 
 // appendAttrBlock appends the per-attribute feature block shared by

@@ -60,6 +60,7 @@ type Model struct {
 	feat  featurizer
 	net   *nn.Network
 	store *embedding.Store // persistent text-embedding cache; nil only mid-construction
+	embed textFunc         // store.Text, bound once so scoring allocates no method value
 }
 
 // Name implements Matcher.
@@ -71,11 +72,14 @@ func (m *Model) Kind() Kind { return m.kind }
 // initCaches attaches the matcher-lifetime caches: the persistent
 // embedding store (every distinct attribute/record text embeds once per
 // model lifetime instead of once per batch) and, for DeepMatcher-style
-// featurizers, the attribute-block memo. Both cache pure functions, so
-// scores are bit-identical with or without them. cacheSize bounds the
-// embedding store's entry count (0 = unbounded).
+// featurizers, the attribute-block memo (every distinct value pair's
+// block is computed once per model lifetime; see deepMatcherFeat). Both
+// cache pure functions, so scores are bit-identical with or without
+// them. cacheSize bounds the embedding store's entry count
+// (0 = unbounded); the block memo is unbounded.
 func (m *Model) initCaches(cacheSize int) {
 	m.store = embedding.NewStore(m.feat.embedder(), embedding.StoreOptions{Capacity: cacheSize})
+	m.embed = m.store.Text
 	if dm, ok := m.feat.(*deepMatcherFeat); ok {
 		dm.memo = newBlockMemo()
 	}
@@ -84,8 +88,8 @@ func (m *Model) initCaches(cacheSize int) {
 // text returns the embedding function scoring should use: the persistent
 // store when attached, the bare embedder otherwise.
 func (m *Model) text() textFunc {
-	if m.store != nil {
-		return m.store.Text
+	if m.embed != nil {
+		return m.embed
 	}
 	return m.feat.embedder().Text
 }
@@ -97,6 +101,15 @@ func (m *Model) EmbeddingStats() embedding.StoreStats {
 		return embedding.StoreStats{}
 	}
 	return m.store.Stats()
+}
+
+// BlockMemoStats reports how many attribute blocks the DeepMatcher
+// block memo holds (0 for other architectures).
+func (m *Model) BlockMemoStats() (entries int) {
+	if dm, ok := m.feat.(*deepMatcherFeat); ok && dm.memo != nil {
+		return dm.memo.entries()
+	}
+	return 0
 }
 
 // ForwardBench times this model's trained network on synthetic feature
@@ -150,7 +163,9 @@ func (m *Model) Score(p record.Pair) float64 {
 // ScoreBatch scores many pairs in one call (the explain.BatchModel
 // capability): the batch is featurized straight into one pooled flat
 // plane — each distinct text resolved through the persistent embedding
-// store — and a single blocked forward pass produces the scores.
+// store, and for DeepMatcher-style models each distinct attribute value
+// pair resolved once per batch — and a single blocked forward pass
+// produces the scores.
 // Index-aligned with pairs and bit-identical to per-pair Score calls.
 func (m *Model) ScoreBatch(pairs []record.Pair) []float64 {
 	out, _ := m.ScoreBatchContext(context.Background(), pairs) // background ctx: never errs
@@ -174,8 +189,12 @@ func (m *Model) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]f
 	flat := (*bp)[:0]
 	text := m.text()
 	sp := telemetry.StartLeaf(ctx, "featurize")
-	for _, p := range pairs {
-		flat = m.feat.appendFeatures(flat, p, text)
+	if dm, ok := m.feat.(*deepMatcherFeat); ok {
+		flat = dm.appendBatch(flat, pairs, text)
+	} else {
+		for _, p := range pairs {
+			flat = m.feat.appendFeatures(flat, p, text)
+		}
 	}
 	sp.AddItems(len(pairs))
 	sp.End()

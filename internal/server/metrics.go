@@ -51,6 +51,8 @@ const (
 	metricEmbedEvictions = "certa_embedding_evictions_total"
 	metricEmbedEntries   = "certa_embedding_entries"
 
+	metricBlockMemoEntries = "certa_block_memo_entries"
+
 	metricIndexRecords = "certa_index_records"
 	metricIndexTokens  = "certa_index_distinct_tokens"
 	metricIndexBuild   = "certa_index_build_seconds"
@@ -112,8 +114,8 @@ func (s *Server) registerMetrics() {
 
 // registerBackendMetrics publishes one backend's series, labeled
 // {backend="name"}. Engine-side stats (score cache, flip memo,
-// embedding store) are bridged from their existing side-channel
-// structs at scrape time.
+// embedding store, block memo) are bridged from their existing
+// side-channel structs at scrape time.
 func (s *Server) registerBackendMetrics(b *backend) {
 	m := s.metrics
 	lbl := telemetry.Labels{"backend": b.name}
@@ -164,6 +166,10 @@ func (s *Server) registerBackendMetrics(b *backend) {
 			func() float64 { return float64(es.EmbeddingStats().Evictions) })
 		m.GaugeFunc(metricEmbedEntries, "Vectors currently held by the embedding store.", lbl,
 			func() float64 { return float64(es.EmbeddingStats().Entries) })
+	}
+	if bs, ok := b.model.(blockMemoStatser); ok {
+		m.GaugeFunc(metricBlockMemoEntries, "Attribute blocks currently held by the matcher's block memo (0 for models without one).", lbl,
+			func() float64 { return float64(bs.BlockMemoStats()) })
 	}
 
 	// The retrieval index is immutable after construction, so its stats

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"certa/internal/record"
 	"certa/internal/telemetry"
 )
 
@@ -76,6 +77,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("scrape:\n%s", text)
+	}
+}
+
+// blockMemoModel is overlapModel with a fixed-size attribute-block
+// memo, standing in for a DeepMatcher-style matcher.
+type blockMemoModel struct{ overlapModel }
+
+func (blockMemoModel) BlockMemoStats() (entries int) { return 42 }
+
+// TestBlockMemoGauge: a backend whose model keeps a block memo
+// publishes its size; one without a memo publishes no such series.
+func TestBlockMemoGauge(t *testing.T) {
+	for _, tc := range []struct {
+		model interface {
+			Name() string
+			Score(record.Pair) float64
+		}
+		want bool
+	}{{blockMemoModel{}, true}, {overlapModel{}, false}} {
+		ts := httptest.NewServer(newTestServer(t, tc.model, Options{}, nil))
+		text := scrapeMetrics(t, ts.URL)
+		ts.Close()
+		if got := strings.Contains(text, `certa_block_memo_entries{backend="toy"} 42`); got != tc.want {
+			t.Errorf("%T: block memo gauge present = %v, want %v", tc.model, got, tc.want)
+		}
+		if !tc.want && strings.Contains(text, "certa_block_memo_entries") {
+			t.Errorf("%T: scrape has a block memo series", tc.model)
+		}
 	}
 }
 

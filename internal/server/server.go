@@ -706,6 +706,12 @@ type embeddingStatser interface {
 	EmbeddingStats() embedding.StoreStats
 }
 
+// blockMemoStatser is implemented by backend models that keep a
+// matcher-lifetime attribute-block memo (see matchers.Model).
+type blockMemoStatser interface {
+	BlockMemoStats() (entries int)
+}
+
 // Stats assembles the server's counters.
 func (s *Server) Stats() StatsResponse {
 	inflight, queued, highWater, ewma := s.adm.snapshot()

@@ -32,8 +32,8 @@ go test -timeout 300s ./...
 echo "== fuzz (FuzzDropTokenVariants, 10s) =="
 go test -run '^$' -fuzz FuzzDropTokenVariants -fuzztime 10s ./internal/strutil
 
-echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + HTTP serving + lattice + telemetry + cluster routing) =="
-go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
+echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + matcher memo + HTTP serving + lattice + telemetry + cluster routing) =="
+go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/matchers/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
 
 # The lattice-pruning paths specifically, under the race detector at
 # Parallelism 8 (TestLatticePruneDeterministic and friends run inside the
